@@ -15,27 +15,38 @@ arriving at t=0 plus a Poisson fault stream, exactly what
   bit-identical results (hashed over jobs, slices, trace and fault
   records).
 
+It also runs a small ``online`` campaign grid point by point and audits
+the admission controller's cost, which is deterministic and so gated: no
+``try_admit`` may build more ``QuantumCurve`` objects than its mode has
+live candidate bins, no ``remove`` more than one, no ``kill_processor``
+any. Online points/s (from a second, unaudited pass) and curve builds per
+admission are reported alongside.
+
 Standalone on purpose (no pytest-benchmark dependency), so CI can run it
 as a smoke step and the events/sec table lands in the job log:
 
     PYTHONPATH=src python benchmarks/bench_online.py --smoke
 
-Exit code is non-zero when either determinism gate fails. No wall-clock
-gate: shared-runner timing is too noisy to fail CI on.
+Exit code is non-zero when a determinism gate or the admission-cost gate
+fails. No wall-clock gate: shared-runner timing is too noisy to fail CI on.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import sys
 import time
+from typing import Iterator
 
 import numpy as np
 
-from repro.core import Overheads, design_platform
+from repro.core import AdmissionController, Overheads, QuantumCurve, design_platform
 from repro.dependability import scenario_from_params
+from repro.experiments.online import online_specs
 from repro.experiments.paper import paper_partition
+from repro.runner.engine import evaluate_point
 from repro.runner.spec import canonical_json
 from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.multicore import MulticoreSim
@@ -138,6 +149,107 @@ def offline_result_digest() -> str:
     ).hexdigest()
 
 
+#: Online grid of the admission-cost audit (``--smoke``: the first rep only).
+ADMISSION_AXES = {
+    "arrival_rate": [1.0, 2.0],
+    "u_total": [0.5, 1.0],
+    "scenario": ["poisson", "permanent"],
+    "rep": [0, 1],
+}
+
+
+@contextlib.contextmanager
+def admission_audit() -> Iterator[dict[str, list[tuple[int, int]]]]:
+    """Record ``(curve builds, allowed builds)`` per admission-controller call.
+
+    ``try_admit`` may build one curve per live candidate bin of the task's
+    mode (one when the processor is given), ``remove`` one, and
+    ``kill_processor`` none.
+    """
+    builds = [0]
+    audit: dict[str, list[tuple[int, int]]] = {
+        "try_admit": [], "remove": [], "kill_processor": []
+    }
+    real_init = QuantumCurve.__init__
+    real = {name: getattr(AdmissionController, name) for name in audit}
+
+    def counting_init(self, *args, **kwargs):
+        builds[0] += 1
+        real_init(self, *args, **kwargs)
+
+    def audited(name, allowed):
+        def call(self, *args, **kwargs):
+            limit = allowed(self, *args, **kwargs)
+            before = builds[0]
+            result = real[name](self, *args, **kwargs)
+            audit[name].append((builds[0] - before, limit))
+            return result
+        return call
+
+    def live_candidates(self, task, processor=None):
+        if processor is not None:
+            return 1
+        dead = self.dead_processors
+        n_bins = len(self.partition().bins(task.mode))
+        return sum((task.mode, i) not in dead for i in range(n_bins))
+
+    QuantumCurve.__init__ = counting_init
+    AdmissionController.try_admit = audited("try_admit", live_candidates)
+    AdmissionController.remove = audited("remove", lambda self, name: 1)
+    AdmissionController.kill_processor = audited(
+        "kill_processor", lambda self, mode, processor: 0
+    )
+    try:
+        yield audit
+    finally:
+        QuantumCurve.__init__ = real_init
+        for name, fn in real.items():
+            setattr(AdmissionController, name, fn)
+
+
+def admission_cost(smoke: bool) -> tuple[bool, dict[str, float]]:
+    """Audit and time the online grid at master seed 0; ``(within bound, metrics)``."""
+    axes = dict(ADMISSION_AXES)
+    if smoke:
+        axes["rep"] = axes["rep"][:1]
+    payloads = [(spec.experiment, spec.params, 0) for spec in online_specs(axes)]
+    with admission_audit() as audit:
+        for payload in payloads:
+            ok, result, _ = evaluate_point(payload)
+            if not ok:
+                raise RuntimeError(f"online point failed: {result}")
+    start = time.perf_counter()
+    for payload in payloads:
+        evaluate_point(payload)
+    elapsed = time.perf_counter() - start
+
+    within = True
+    print(f"admission cost over {len(payloads)} online points")
+    print(f"{'call':>15}  {'calls':>6}  {'builds':>7}  {'per call':>8}  {'over bound':>10}")
+    for name, calls in audit.items():
+        total = sum(b for b, _ in calls)
+        over = sum(b > limit for b, limit in calls)
+        within = within and not over
+        print(
+            f"{name:>15}  {len(calls):>6}  {total:>7}  "
+            f"{total / max(len(calls), 1):>8.3f}  {over:>10}"
+        )
+    admits = audit["try_admit"]
+    metrics = {
+        "points": len(payloads),
+        "points_per_sec": round(len(payloads) / elapsed, 2),
+        "try_admit_calls": len(admits),
+        "curve_builds_per_admit": round(
+            sum(b for b, _ in admits) / max(len(admits), 1), 4
+        ),
+        "live_bins_per_admit": round(
+            sum(limit for _, limit in admits) / max(len(admits), 1), 4
+        ),
+    }
+    print(f"online points/s (unaudited pass): {metrics['points_per_sec']}")
+    return within, metrics
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -187,16 +299,20 @@ def main(argv: list[str] | None = None) -> int:
         failed = True
     else:
         print(f"offline sim determinism: ok ({digests.pop()[:16]}…)")
+    within, admission = admission_cost(args.smoke)
     write_bench_json(
         "online",
         config={"events": top, "smoke": args.smoke},
         dispatch=rates,
         deterministic=not failed,
+        admission=admission,
+        admission_within_bound=within,
     )
     if failed:
         print("FAIL: determinism gate")
-        return 1
-    return 0
+    if not within:
+        print("FAIL: an admission-controller call built more curves than allowed")
+    return 1 if failed or not within else 0
 
 
 if __name__ == "__main__":

@@ -47,7 +47,9 @@ hull of the ``(t, W)`` pairs and the Eq. 6 min on the *lower* hull.
 :func:`binding_hull` shrinks hundreds of pairs to a handful with a
 conservatively-rounded monotone chain (near-degenerate turns are kept, so
 the true binding point is never dropped and the pruned max/min is
-bit-identical to the full evaluation).
+bit-identical to the full evaluation). A curve builds its hull on its
+first evaluation over more than one period; single-period evaluations
+(admission control) sweep the full pairs instead.
 """
 
 from __future__ import annotations

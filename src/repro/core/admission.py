@@ -14,6 +14,13 @@ implements that controller:
 
 The controller never changes ``P`` — changing the major period would require
 a platform-level resynchronisation, exactly what the paper's design avoids.
+
+Because ``P`` is fixed, each bin's ``minQ`` is a single number, and the
+controller caches one per bin. A decision then costs one
+:class:`~repro.core.minq.QuantumCurve` build per candidate bin (``k`` per
+arrival into a mode of ``k`` live bins), a departure rebuilds only the bin it
+left, and a core death rebuilds nothing. The cache holds exactly the floats
+a from-scratch recomputation yields, so decisions are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -86,6 +93,11 @@ class AdmissionController:
         }
         self._slack = config.slack
         self._dead: set[tuple[Mode, int]] = set()
+        #: ``minQ`` of each bin at ``P``, kept in step with ``_bins``.
+        self._bin_minqs: dict[Mode, list[float]] = {
+            mode: [self._bin_minq(ts) for ts in bins]
+            for mode, bins in self._bins.items()
+        }
 
     # -- state views -------------------------------------------------------------
 
@@ -134,9 +146,8 @@ class AdmissionController:
             return 0.0
         return float(QuantumCurve(taskset, self._alg).evaluate(self._period))
 
-    def _mode_minq(self, mode: Mode, bins: list[TaskSet] | None = None) -> float:
-        bins = self._bins[mode] if bins is None else bins
-        return max((self._bin_minq(ts) for ts in bins), default=0.0)
+    def _mode_minq(self, mode: Mode) -> float:
+        return max(self._bin_minqs[mode], default=0.0)
 
     # -- operations -----------------------------------------------------------------
 
@@ -156,8 +167,10 @@ class AdmissionController:
                     False, mode, None, 0.0, self._slack,
                     reason=f"task {task.name!r} already present",
                 )
+        minqs = self._bin_minqs[mode]
         candidates = range(len(bins)) if processor is None else [processor]
-        best: tuple[float, int, float] | None = None  # (growth, idx, new_mode_minq)
+        # (cost, idx, new mode minQ, grown bin, its minQ)
+        best: tuple[float, int, float, TaskSet, float] | None = None
         for idx in candidates:
             if not 0 <= idx < len(bins):
                 return AdmissionDecision(
@@ -171,8 +184,9 @@ class AdmissionController:
                         reason=f"processor {mode}[{idx}] has failed permanently",
                     )
                 continue
-            trial = [ts if i != idx else ts.add(task) for i, ts in enumerate(bins)]
-            new_minq = self._mode_minq(mode, trial)
+            trial = bins[idx].add(task)
+            trial_minq = self._bin_minq(trial)
+            new_minq = max([*minqs[:idx], trial_minq, *minqs[idx + 1:]])
             growth = max(new_minq - self._usable[mode], 0.0)
             # Admitting into an empty mode starts paying the switch overhead.
             extra_overhead = (
@@ -182,13 +196,13 @@ class AdmissionController:
             )
             cost = growth + extra_overhead
             if best is None or cost < best[0] - EPS:
-                best = (cost, idx, new_minq)
+                best = (cost, idx, new_minq, trial, trial_minq)
         if best is None:
             return AdmissionDecision(
                 False, mode, None, 0.0, self._slack,
                 reason=f"every processor of mode {mode} has failed",
             )
-        cost, idx, new_minq = best
+        cost, idx, new_minq, trial, trial_minq = best
         if cost > self._slack + 1e-9:
             return AdmissionDecision(
                 False, mode, None, cost, self._slack,
@@ -198,7 +212,8 @@ class AdmissionController:
                 ),
             )
         # Commit.
-        self._bins[mode][idx] = self._bins[mode][idx].add(task)
+        bins[idx] = trial
+        minqs[idx] = trial_minq
         grown = max(new_minq - self._usable[mode], 0.0)
         self._usable[mode] = max(self._usable[mode], new_minq)
         self._slack -= cost
@@ -225,6 +240,7 @@ class AdmissionController:
         self._dead.add((mode, processor))
         orphans = tuple(bins[processor])
         bins[processor] = TaskSet()
+        self._bin_minqs[mode][processor] = 0.0
         new_minq = self._mode_minq(mode)
         old_usable = self._usable[mode]
         new_usable = min(old_usable, max(new_minq, 0.0))
@@ -245,7 +261,9 @@ class AdmissionController:
         for mode in Mode:
             for idx, ts in enumerate(self._bins[mode]):
                 if task_name in ts:
-                    self._bins[mode][idx] = ts.without([task_name])
+                    left = ts.without([task_name])
+                    self._bins[mode][idx] = left
+                    self._bin_minqs[mode][idx] = self._bin_minq(left)
                     new_minq = self._mode_minq(mode)
                     old_usable = self._usable[mode]
                     new_usable = new_minq

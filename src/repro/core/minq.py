@@ -77,7 +77,11 @@ class QuantumCurve:
     """``minQ`` as a reusable function of the period ``P``.
 
     Precomputes the (point, demand) pairs of a task set once, then evaluates
-    Eq. 6 / Eq. 11 for scalar or array ``P`` in vectorised form.
+    Eq. 6 / Eq. 11 for scalar or array ``P`` in vectorised form. With the
+    fast kernels on, the first evaluation over more than one period also
+    prunes the pairs to their binding hull and keeps it for every later
+    call; a curve evaluated at one period only (admission control) never
+    pays for the pure-Python hull and sweeps the full pairs instead.
 
     Parameters
     ----------
@@ -108,8 +112,12 @@ class QuantumCurve:
         self._alg = alg
         # Precompute (t, W) pairs; they are independent of P.
         self._groups: list[tuple[str, np.ndarray, np.ndarray]] = []
+        # The pairs evaluate() sweeps: the full ones without the fast
+        # kernels, else the hull, which is None until first needed.
+        self._eval_groups: list[tuple[str, np.ndarray, np.ndarray]] | None = (
+            None if kernels.fast_kernels_enabled() else self._groups
+        )
         if len(taskset) == 0:
-            self._eval_groups = self._groups
             return
         if alg == "EDF":
             pts = edf_demand_points(taskset)  # dlSet up to the hyperperiod (Eq. 11)
@@ -122,23 +130,22 @@ class QuantumCurve:
                 pts = np.asarray(scheduling_points(task, hp), dtype=float)
                 w = fp_workload_array(task, hp, pts)
                 self._groups.append((task.name, pts, w))
-        # f_P's superlevel (EDF) / sublevel (FP) sets are half-planes, so
-        # only the convex hull of the (t, W) pairs can bind Eq. 11 / Eq. 6:
-        # evaluate() sweeps a handful of hull points instead of the whole
-        # dlSet per candidate period, bit-identically (the conservative
-        # hull never drops a potential arg-extremum). detailed() keeps the
-        # full sets so binding points are reported from the same candidate
-        # list as before.
-        if kernels.fast_kernels_enabled():
-            self._eval_groups = [
-                (name, pts[idx], w[idx])
-                for name, pts, w in self._groups
-                for idx in (
-                    kernels.binding_hull(pts, w, upper=self._alg == "EDF"),
-                )
-            ]
-        else:
-            self._eval_groups = self._groups
+
+    def _hull_groups(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
+        """The (t, W) pairs pruned to the points that can bind ``f_P``.
+
+        f_P's superlevel (EDF) / sublevel (FP) sets are half-planes, so
+        only the convex hull of the (t, W) pairs can bind Eq. 11 / Eq. 6:
+        a sweep over a handful of hull points instead of the whole dlSet
+        per candidate period is bit-identical (the conservative hull never
+        drops a potential arg-extremum). detailed() keeps the full sets so
+        binding points are reported from the same candidate list as before.
+        """
+        return [
+            (name, pts[idx], w[idx])
+            for name, pts, w in self._groups
+            for idx in (kernels.binding_hull(pts, w, upper=self._alg == "EDF"),)
+        ]
 
     @property
     def algorithm(self) -> str:
@@ -156,8 +163,14 @@ class QuantumCurve:
         ps = np.atleast_1d(np.asarray(periods, dtype=float))
         if np.any(ps <= 0):
             raise ValueError("periods must be > 0")
+        groups = self._eval_groups
+        if groups is None:
+            if ps.size == 1:
+                groups = self._groups
+            else:
+                groups = self._eval_groups = self._hull_groups()
         out = np.zeros_like(ps)
-        for _name, pts, w in self._eval_groups:
+        for _name, pts, w in groups:
             # f has shape (n_points, n_periods)
             f = _f_quantum(pts[:, None], w[:, None], ps[None, :])
             if self._alg == "EDF":
@@ -292,13 +305,6 @@ def min_quantum_exact(
         else:
             lo = mid
     return hi
-
-
-def quantum_curves_for_bins(
-    bins: Sequence[TaskSet], algorithm: str
-) -> list[QuantumCurve]:
-    """Build one :class:`QuantumCurve` per partition bin (convenience)."""
-    return [QuantumCurve(ts, algorithm) for ts in bins]
 
 
 def min_quantum_jitter(

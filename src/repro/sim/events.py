@@ -53,11 +53,8 @@ class EventKind(enum.IntEnum):
         return self.name.lower()
 
 
-#: Telemetry counter name per kind, precomputed so the dispatch hot path
-#: never builds strings.
-_DISPATCH_COUNTER = {
-    kind: f"sim.events.{kind.name.lower()}" for kind in EventKind
-}
+#: Telemetry counter name per kind, indexed by the kind's int value.
+_DISPATCH_COUNTER = tuple(f"sim.events.{kind.name.lower()}" for kind in EventKind)
 
 
 @dataclass(frozen=True)
@@ -89,11 +86,17 @@ class EventQueue:
     Orders by ``(time, kind priority, insertion sequence)``; pushing during
     a drain is allowed (the online engine schedules departures and
     re-assignments from inside its handlers).
+
+    Dispatches are tallied per kind in the queue and reported to telemetry
+    in one call per kind when a drain ends (or at once for :meth:`pop`),
+    so the dispatch loop makes no telemetry call per event.
     """
 
     def __init__(self, events: "Iterator[Event] | list[Event] | tuple[Event, ...]" = ()):
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
+        #: Dispatches per kind not yet reported to telemetry.
+        self._dispatched = [0] * len(EventKind)
         for ev in events:
             self.push(ev)
 
@@ -117,9 +120,9 @@ class EventQueue:
         """Remove and return the next event (IndexError when empty)."""
         if not self._heap:
             raise IndexError("pop from an empty EventQueue")
-        event = heapq.heappop(self._heap)[3]
-        telemetry.count("sim.events.dispatched")
-        telemetry.count(_DISPATCH_COUNTER[event.kind])
+        _time, kind, _seq, event = heapq.heappop(self._heap)
+        self._dispatched[kind] += 1
+        self._report_dispatched()
         return event
 
     def peek(self) -> Event:
@@ -141,13 +144,29 @@ class EventQueue:
         join the drain in their proper order (including at the current
         instant, where the kind/FIFO rules still apply).
         """
-        while self._heap:
-            if until is not None and self._heap[0][0] >= until:
-                return
-            event = heapq.heappop(self._heap)[3]
-            telemetry.count("sim.events.dispatched")
-            telemetry.count(_DISPATCH_COUNTER[event.kind])
-            yield event
+        heap = self._heap
+        tally = self._dispatched
+        try:
+            while heap:
+                if until is not None and heap[0][0] >= until:
+                    return
+                _time, kind, _seq, event = heapq.heappop(heap)
+                tally[kind] += 1
+                yield event
+        finally:
+            self._report_dispatched()
+
+    def _report_dispatched(self) -> None:
+        """Flush the dispatch tally: one telemetry call per kind seen."""
+        tally = self._dispatched
+        total = sum(tally)
+        if not total:
+            return
+        telemetry.count("sim.events.dispatched", total)
+        for kind, n in enumerate(tally):
+            if n:
+                telemetry.count(_DISPATCH_COUNTER[kind], n)
+                tally[kind] = 0
 
 
 __all__ = ["Event", "EventKind", "EventQueue"]

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.analysis import edf_schedulable_supply, fp_schedulable_supply
+from repro.analysis import edf_schedulable_supply, fp_schedulable_supply, kernels
 from repro.core import (
     QuantumCurve,
     min_quantum,
@@ -142,6 +144,74 @@ class TestQuantumCurve:
     def test_detailed_empty(self):
         res = min_quantum_detailed(TaskSet(), "EDF", 2.0)
         assert res.value == 0.0
+
+
+@st.composite
+def small_tasksets(draw):
+    """1–5 tasks, integer periods, constrained deadlines (DM differs from RM)."""
+    tasks = []
+    for i in range(draw(st.integers(min_value=1, max_value=5))):
+        period = draw(st.integers(min_value=3, max_value=30))
+        deadline = draw(st.integers(min_value=max(2, period // 2), max_value=period))
+        wcet = draw(st.floats(min_value=0.05, max_value=deadline / 3))
+        tasks.append(Task(f"t{i}", wcet, float(period), float(deadline)))
+    return TaskSet(tasks)
+
+
+curve_periods = st.floats(min_value=0.1, max_value=8.0)
+
+
+@pytest.fixture
+def hull_calls(monkeypatch):
+    """Count ``kernels.binding_hull`` calls (fast kernels forced on)."""
+    calls = []
+    real = kernels.binding_hull
+
+    def counting(pts, w, *, upper):
+        calls.append(len(pts))
+        return real(pts, w, upper=upper)
+
+    monkeypatch.setattr(kernels, "binding_hull", counting)
+    with kernels.kernels_forced(True):
+        yield calls
+
+
+class TestLazyBindingHull:
+    @pytest.mark.parametrize("alg", ["EDF", "RM", "DM"])
+    def test_scalar_evaluate_builds_no_hull(self, ft_tasks, hull_calls, alg):
+        curve = QuantumCurve(ft_tasks, alg)
+        curve.evaluate(2.0)
+        curve.evaluate(np.array([3.0]))
+        assert hull_calls == []
+
+    @pytest.mark.parametrize("alg", ["EDF", "RM"])
+    def test_first_array_evaluate_builds_hull_once(self, ft_tasks, hull_calls, alg):
+        curve = QuantumCurve(ft_tasks, alg)
+        curve.evaluate(np.array([1.0, 2.0]))
+        groups = 1 if alg == "EDF" else len(ft_tasks)
+        assert len(hull_calls) == groups
+        curve.evaluate(np.array([0.5, 1.5, 2.5]))
+        curve.evaluate(2.0)
+        assert len(hull_calls) == groups
+
+    def test_fallback_never_builds_hull(self, ft_tasks, hull_calls):
+        with kernels.kernels_forced(False):
+            curve = QuantumCurve(ft_tasks, "EDF")
+        curve.evaluate(np.array([1.0, 2.0]))
+        assert hull_calls == []
+
+    @pytest.mark.parametrize("fast", [True, False])
+    @given(ts=small_tasksets(), p=curve_periods, q=curve_periods,
+           alg=st.sampled_from(["EDF", "RM", "DM"]))
+    @settings(max_examples=40, deadline=None)
+    def test_scalar_equals_array_bit_for_bit(self, fast, ts, p, q, alg):
+        with kernels.kernels_forced(fast):
+            swept = QuantumCurve(ts, alg).evaluate(p)
+            curve = QuantumCurve(ts, alg)
+            pair = curve.evaluate(np.array([p, q]))
+            assert swept == pair[0]
+            # Once the hull exists, scalar calls sweep it: still the same.
+            assert curve.evaluate(p) == swept
 
 
 class TestExactMinQuantum:
