@@ -59,6 +59,11 @@ class SystemCurve:
         """The local scheduling algorithm."""
         return self._alg
 
+    @property
+    def pairs(self) -> int:
+        """``(t, W)`` pairs one evaluation over several periods sweeps."""
+        return sum(c.pairs for curves in self._curves.values() for c in curves)
+
     def mode_minq(self, mode: Mode, periods: np.ndarray | float) -> np.ndarray | float:
         """``minQ_k(P) = max_i minQ(T_k^i, alg, P)`` (0 for an empty mode)."""
         curves = self._curves[mode]

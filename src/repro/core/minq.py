@@ -147,6 +147,18 @@ class QuantumCurve:
             for idx in (kernels.binding_hull(pts, w, upper=self._alg == "EDF"),)
         ]
 
+    def _sweep_groups(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
+        """The pairs an evaluation over several periods sweeps."""
+        if self._eval_groups is None:
+            self._eval_groups = self._hull_groups()
+        return self._eval_groups
+
+    @property
+    def pairs(self) -> int:
+        """Number of ``(t, W)`` pairs an evaluation over several periods
+        sweeps: the binding hull with the fast kernels, else every pair."""
+        return sum(pts.size for _name, pts, _w in self._sweep_groups())
+
     @property
     def algorithm(self) -> str:
         """The algorithm label this curve was built for."""
@@ -165,10 +177,7 @@ class QuantumCurve:
             raise ValueError("periods must be > 0")
         groups = self._eval_groups
         if groups is None:
-            if ps.size == 1:
-                groups = self._groups
-            else:
-                groups = self._eval_groups = self._hull_groups()
+            groups = self._groups if ps.size == 1 else self._sweep_groups()
         out = np.zeros_like(ps)
         for _name, pts, w in groups:
             # f has shape (n_points, n_periods)

@@ -46,6 +46,7 @@ from repro.analysis.workload import fp_workload_array
 from repro.analysis.points import scheduling_points
 from repro.core.config import Overheads
 from repro.core.design import DesignError
+from repro.core.region import _bisect_level, _tree_depth
 from repro.model import MODE_ORDER, Mode, PartitionedTaskSet, TaskSet
 from repro.supply import LinearSupply, SlotLayoutSupply
 from repro.util import EPS, check_positive
@@ -330,23 +331,62 @@ def _bin_point_demands(
 
 
 def _split_region_lhs(
-    partition: PartitionedTaskSet,
-    algorithm: str,
+    demands: Mapping[Mode, list[tuple[np.ndarray, np.ndarray, bool]]],
     pieces: Mapping[Mode, int],
     ps: np.ndarray,
 ) -> np.ndarray:
-    """Eq.-15 analogue with per-mode splitting; per-piece overheads are
+    """Eq.-15 analogue with per-mode splitting over each mode's bin groups
+    (:func:`_bin_point_demands`, bins in order); per-piece overheads are
     added by the caller (as the paper adds ``O_tot`` to the plain LHS)."""
     out = ps.copy()
     for mode in Mode:
         k = pieces.get(mode, 1)
         best = np.zeros_like(ps)
-        for ts in partition.bins(mode):
-            for pts, w, is_edf in _bin_point_demands(ts, algorithm):
-                f = _f_quantum_split(pts[:, None], w[:, None], ps[None, :], k)
-                best = np.maximum(best, f.max(axis=0) if is_edf else f.min(axis=0))
+        for pts, w, is_edf in demands[mode]:
+            f = _f_quantum_split(pts[:, None], w[:, None], ps[None, :], k)
+            best = np.maximum(best, f.max(axis=0) if is_edf else f.min(axis=0))
         out -= best
     return out
+
+
+def _split_boundary_period(
+    partition: PartitionedTaskSet,
+    algorithm: str,
+    pieces: Mapping[Mode, int],
+    otot: float,
+    *,
+    p_max: float,
+    grid: int,
+) -> float:
+    """Largest period whose split Eq.-15 analogue is ``>= otot``: a grid
+    scan, then a bisection of the last feasible grid step."""
+    demands = {
+        mode: [
+            group
+            for ts in partition.bins(mode)
+            for group in _bin_point_demands(ts, algorithm)
+        ]
+        for mode in Mode
+    }
+    ps = np.linspace(p_max / grid, p_max, grid)
+    g = _split_region_lhs(demands, pieces, ps)
+    ok = np.nonzero(g >= otot)[0]
+    if ok.size == 0:
+        raise DesignError(
+            f"no feasible period for split design (pieces={pieces}, "
+            f"per-cycle overhead {otot:.4f})"
+        )
+    i = int(ok[-1])
+    pairs = sum(pts.size for groups in demands.values() for pts, _w, _e in groups)
+    return _bisect_level(
+        lambda mids: _split_region_lhs(demands, pieces, mids),
+        float(ps[i]),
+        float(ps[min(i + 1, grid - 1)]),
+        otot,
+        tol=1e-9,
+        max_steps=100,
+        depth=_tree_depth(pairs),
+    )
 
 
 def _ensure_layout_feasible(
@@ -398,29 +438,9 @@ def design_split_platform(
         for m in Mode
         if len(partition.mode_taskset(m)) > 0
     )
-    ps = np.linspace(p_max / grid, p_max, grid)
-    g = _split_region_lhs(partition, algorithm, pieces, ps)
-    ok = np.nonzero(g >= otot)[0]
-    if ok.size == 0:
-        raise DesignError(
-            f"no feasible period for split design (pieces={pieces}, "
-            f"per-cycle overhead {otot:.4f})"
-        )
-    i = int(ok[-1])
-    lo = float(ps[i])
-    hi = float(ps[min(i + 1, grid - 1)])
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        val = float(
-            _split_region_lhs(partition, algorithm, pieces, np.array([mid]))[0]
-        )
-        if val >= otot:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-9 * max(1.0, hi):
-            break
-    boundary_period = lo
+    boundary_period = _split_boundary_period(
+        partition, algorithm, pieces, otot, p_max=p_max, grid=grid
+    )
 
     def build(period: float, scale: float) -> SplitSchedule | None:
         quanta = {}

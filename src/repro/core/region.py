@@ -15,19 +15,105 @@ both EDF and RM and reads several designs off the curve:
 ``G`` is continuous and piecewise-smooth with kinks where the binding
 scheduling point/task switches, and is eventually strictly decreasing (for
 large ``P`` each ``minQ_k`` grows like ``P − t_k*``, so the sum of three such
-terms overtakes ``P``). The sweeps below therefore use a fine grid plus
-bisection/local refinement, which is robust to the kinks.
+terms overtakes ``P``). Every query therefore starts from a fine grid, which
+is robust to the kinks, and refines locally.
+
+The period searches batch their evaluations of ``G``, because each
+``SystemCurve.lhs`` call pays numpy call overhead for every bin of every
+mode. The sweep end doubles eight grids per call (:meth:`_auto_p_max`). The
+boundary bisection (:func:`_bisect_level`) evaluates a complete bisection
+tree of depth ``d`` in one call and then walks it. ``d`` is the deepest tree
+whose ``2^d − 1`` midpoints times the ``(t, W)`` pairs the curve sweeps stay
+within :data:`_PAIR_BUDGET`. Those pairs are the binding hulls with the fast
+kernels (10–30 pairs, ``d = 7``–``9``) and the full dlSets without (a few
+hundred pairs give ``d = 2``–``3``). ``G`` is elementwise in ``P``, so both
+searches return exactly what one scalar evaluation per step returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from repro.core.integration import SystemCurve
 from repro.model import Mode, PartitionedTaskSet
 from repro.util import check_nonneg, check_positive
+
+#: Midpoint × ``(t, W)`` pair products one bisection tree may evaluate.
+_PAIR_BUDGET = 4096
+
+#: Doublings of the sweep end whose grids one ``G`` call evaluates.
+_DOUBLINGS_PER_CALL = 8
+
+
+def _tree_depth(pairs: int) -> int:
+    """Deepest bisection tree (at least 1) with ``(2^d − 1) · pairs`` within
+    :data:`_PAIR_BUDGET`."""
+    depth = 1
+    while ((1 << (depth + 1)) - 1) * max(pairs, 1) <= _PAIR_BUDGET:
+        depth += 1
+    return depth
+
+
+def _bisect_level(
+    g: Callable[[np.ndarray], np.ndarray],
+    lo: float,
+    hi: float,
+    level: float,
+    *,
+    tol: float,
+    max_steps: int,
+    depth: int,
+) -> float:
+    """The ``lo`` end of a bisection of ``g(lo) >= level > g(hi)``.
+
+    Returns exactly what the scalar loop ::
+
+        for _ in range(max_steps):
+            mid = 0.5 * (lo + hi)
+            if g(mid) >= level:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= tol * max(1.0, hi):
+                break
+        return lo
+
+    returns, for an elementwise ``g``, with one ``g`` call per ``depth``
+    steps: each call evaluates the ``2^depth − 1`` midpoints of the complete
+    bisection tree below the current bracket (every midpoint computed as
+    the loop computes it), and the loop then walks the tree.
+    """
+    steps = 0
+    while steps < max_steps:
+        d = min(depth, max_steps - steps)
+        # Level l of the tree, in heap order: node j has the children 2j
+        # (left half, G(mid) < level) and 2j + 1 (right half) on level l + 1.
+        los, his = np.array([lo]), np.array([hi])
+        levels = []
+        for _ in range(d):
+            mids = 0.5 * (los + his)
+            levels.append(mids)
+            los = np.column_stack((los, mids)).ravel()
+            his = np.column_stack((mids, his)).ravel()
+        mids = np.concatenate(levels)
+        values = g(mids)
+        node = 0
+        for l in range(d):
+            k = (1 << l) - 1 + node
+            mid = float(mids[k])
+            steps += 1
+            if values[k] >= level:
+                lo = mid
+                node = 2 * node + 1
+            else:
+                hi = mid
+                node = 2 * node
+            if hi - lo <= tol * max(1.0, hi):
+                return lo
+    return lo
 
 
 @dataclass(frozen=True)
@@ -92,13 +178,23 @@ class FeasibleRegion:
         return self._curve.lhs(periods)
 
     def _auto_p_max(self) -> float:
-        """Find a sweep end beyond the last zero crossing of ``G``."""
+        """Find a sweep end beyond the last zero crossing of ``G``.
+
+        The first ``hi`` of ``1, 2, 4, …`` (at most 60 doublings) that
+        exceeds 4 with ``G < 0`` on a 64-point grid over ``[hi/2, hi]``;
+        the grids of 8 consecutive doublings go through one ``G`` call.
+        """
         hi = 1.0
-        for _ in range(60):
-            ps = np.linspace(hi / 2, hi, 64)
-            if np.all(self._curve.lhs(ps) < 0.0) and hi > 4.0:
-                return hi
-            hi *= 2.0
+        for first in range(0, 60, _DOUBLINGS_PER_CALL):
+            his = []
+            for _ in range(min(_DOUBLINGS_PER_CALL, 60 - first)):
+                his.append(hi)
+                hi *= 2.0
+            ps = np.concatenate([np.linspace(h / 2, h, 64) for h in his])
+            g = np.asarray(self._curve.lhs(ps)).reshape(len(his), 64)
+            for h, row in zip(his, g):
+                if np.all(row < 0.0) and h > 4.0:
+                    return h
         raise RuntimeError(
             "could not bracket the feasible region; is the partition feasible at all?"
         )
@@ -149,15 +245,15 @@ class FeasibleRegion:
                 return wider.max_feasible_period(otot, tol=tol)
             lo, hi = float(ps[i]), float(ps[i + 1])
         # Bisection: G(lo) >= otot > G(hi).
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if float(self._curve.lhs(mid)) >= otot:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= tol * max(1.0, hi):
-                break
-        return lo
+        return _bisect_level(
+            self._curve.lhs,
+            lo,
+            hi,
+            otot,
+            tol=tol,
+            max_steps=200,
+            depth=_tree_depth(self._curve.pairs),
+        )
 
     def max_admissible_overhead(self) -> RegionPoint:
         """Global maximum of ``G`` (points 3 and 4 of Fig. 4).

@@ -87,15 +87,18 @@ class EventQueue:
     a drain is allowed (the online engine schedules departures and
     re-assignments from inside its handlers).
 
-    Dispatches are tallied per kind in the queue and reported to telemetry
-    in one call per kind when a drain ends (or at once for :meth:`pop`),
-    so the dispatch loop makes no telemetry call per event.
+    Pushes and per-kind dispatches are tallied in the queue and reported
+    to telemetry by :meth:`flush`, which every drain calls when it ends
+    (and :meth:`pop` at once), so neither :meth:`push` nor the dispatch
+    loop makes a telemetry call per event. A queue that is pushed to but
+    never drained reports its pushes through an explicit :meth:`flush`.
     """
 
     def __init__(self, events: "Iterator[Event] | list[Event] | tuple[Event, ...]" = ()):
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
-        #: Dispatches per kind not yet reported to telemetry.
+        #: Pushes and dispatches per kind not yet reported to telemetry.
+        self._pushed = 0
         self._dispatched = [0] * len(EventKind)
         for ev in events:
             self.push(ev)
@@ -108,7 +111,7 @@ class EventQueue:
             self._heap, (event.time, int(event.kind), self._seq, event)
         )
         self._seq += 1
-        telemetry.count("sim.events.pushed")
+        self._pushed += 1
 
     def push_at(self, time: float, kind: EventKind, data: Any = None) -> Event:
         """Build and insert an event; returns it."""
@@ -122,7 +125,7 @@ class EventQueue:
             raise IndexError("pop from an empty EventQueue")
         _time, kind, _seq, event = heapq.heappop(self._heap)
         self._dispatched[kind] += 1
-        self._report_dispatched()
+        self.flush()
         return event
 
     def peek(self) -> Event:
@@ -154,10 +157,14 @@ class EventQueue:
                 tally[kind] += 1
                 yield event
         finally:
-            self._report_dispatched()
+            self.flush()
 
-    def _report_dispatched(self) -> None:
-        """Flush the dispatch tally: one telemetry call per kind seen."""
+    def flush(self) -> None:
+        """Report the tallies to telemetry and reset them: one call for the
+        pushes, one for the dispatch total and one per kind dispatched."""
+        if self._pushed:
+            telemetry.count("sim.events.pushed", self._pushed)
+            self._pushed = 0
         tally = self._dispatched
         total = sum(tally)
         if not total:

@@ -1,9 +1,9 @@
 """Pinned ``sim.events.*`` telemetry totals of whole simulation runs.
 
-The event queue reports its dispatches to telemetry in per-kind totals at
-the end of each drain rather than per event; these pins were captured
+The event queue reports its pushes and dispatches to telemetry in totals
+at the end of each drain rather than per event; these pins were captured
 from the per-event implementation, so the totals a run manifest shows must
-not move. Includes pushes, which are still counted one by one.
+not move.
 """
 
 import numpy as np
@@ -124,3 +124,25 @@ class TestDispatchTally:
             queue.pop()
         assert recorder.counters["sim.events.dispatched"] == 2
         assert recorder.counters["sim.events.departure"] == 1
+
+    def test_pushes_are_reported_with_the_drain(self):
+        queue = EventQueue()
+        recorder = Telemetry()
+        with telemetry.activated(recorder):
+            queue.push_at(1.0, EventKind.ARRIVAL)
+            queue.push_at(2.0, EventKind.ARRIVAL)
+            assert "sim.events.pushed" not in recorder.counters
+            for ev in queue.drain():
+                if ev.time == 1.0:
+                    queue.push_at(5.0, EventKind.DEPARTURE)
+        assert recorder.counters["sim.events.pushed"] == 3
+        assert recorder.counters["sim.events.dispatched"] == 3
+
+    def test_never_drained_queue_reports_through_flush(self):
+        recorder = Telemetry()
+        with telemetry.activated(recorder):
+            queue = self._queue()
+            queue.push_at(4.0, EventKind.DEPARTURE)
+            queue.flush()
+            queue.flush()  # the tally was reset: nothing is counted twice
+        assert recorder.counters == {"sim.events.pushed": 4}
